@@ -199,8 +199,9 @@ public:
     return g;
   }
 
-  /// Adopt pre-built CSR vectors without a per-element pass (the streamed
-  /// snapshot reader path).  Same preconditions as from_csr_spans.
+  /// Adopt pre-built CSR vectors without a per-element pass (the decoded
+  /// compressed and sharded snapshot paths).  Same preconditions as
+  /// from_csr_spans.
   static adjacency from_csr_vectors(std::vector<offset_t>    indices,
                                     std::vector<vertex_id_t> targets, std::size_t n)
     requires(sizeof...(Attributes) == 0)

@@ -62,37 +62,47 @@ std::vector<vertex_id_t> cc_label_propagation(const Graph& g) {
 
 namespace detail {
 
-/// Pointer-jumping find with path compression (benign races: labels only
-/// ever decrease toward the root).
-inline vertex_id_t find_root(std::vector<vertex_id_t>& comp, vertex_id_t v) {
-  vertex_id_t root = v;
-  while (atomic_load(comp[root]) != root) root = atomic_load(comp[root]);
-  // Compress the path we walked.
-  while (v != root) {
-    vertex_id_t next = atomic_load(comp[v]);
-    atomic_store(comp[v], root);
-    v = next;
-  }
-  return root;
+// Union-find over `comp` with the invariant comp[x] <= x: a link only ever
+// hangs a higher root under a lower one, so no pointer chain can cycle and
+// every component's root is its minimum vertex id.  Nothing compresses
+// paths while links are in flight — a compressing find that writes a root
+// it walked to earlier can raise a pointer that another thread has since
+// lowered, forming a cycle every later find spins on.  Paths are flattened
+// only by compress_all, between linking phases.
+
+/// Follow parent pointers to the current root (read-only).
+inline vertex_id_t find_root(const std::vector<vertex_id_t>& comp, vertex_id_t v) {
+  for (vertex_id_t p = atomic_load(comp[v]); p != v; p = atomic_load(comp[v])) v = p;
+  return v;
 }
 
-/// Union by minimum root id, lock-free (Afforest's "link" operation).
+/// Union the components of `u` and `v` (GAPBS's Afforest `Link`, Sutton et
+/// al. 2018): CAS the higher root to the lower one, re-reading the parents
+/// and retrying when another thread moved either first.
 inline void link_roots(std::vector<vertex_id_t>& comp, vertex_id_t u, vertex_id_t v) {
-  vertex_id_t ru = find_root(comp, u);
-  vertex_id_t rv = find_root(comp, v);
-  while (ru != rv) {
-    if (ru > rv) std::swap(ru, rv);
-    // Try to hang the larger root under the smaller one.
-    if (compare_and_swap(comp[rv], rv, ru)) return;
-    rv = find_root(comp, rv);
-    ru = find_root(comp, ru);
+  vertex_id_t p1 = atomic_load(comp[u]);
+  vertex_id_t p2 = atomic_load(comp[v]);
+  while (p1 != p2) {
+    const vertex_id_t high   = std::max(p1, p2);
+    const vertex_id_t low    = std::min(p1, p2);
+    const vertex_id_t p_high = atomic_load(comp[high]);
+    // Done when `high` already hangs under `low` or we hang it there.
+    if (p_high == low || (p_high == high && compare_and_swap(comp[high], high, low))) return;
+    p1 = atomic_load(comp[atomic_load(comp[high])]);
+    p2 = atomic_load(comp[low]);
   }
 }
 
-/// Flatten so every vertex points directly at its root.
+/// Flatten so every vertex points directly at its root.  Runs with no link
+/// in flight; each vertex's slot is written only by its own iteration and
+/// read by others, hence the atomic accesses.
 inline void compress_all(std::vector<vertex_id_t>& comp) {
   par::parallel_for(0, comp.size(), [&](std::size_t v) {
-    while (comp[v] != comp[comp[v]]) comp[v] = comp[comp[v]];
+    vertex_id_t p = atomic_load(comp[v]);
+    for (vertex_id_t pp = atomic_load(comp[p]); p != pp; pp = atomic_load(comp[p])) {
+      p = pp;
+      atomic_store(comp[v], p);
+    }
   });
 }
 

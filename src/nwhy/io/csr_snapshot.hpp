@@ -52,10 +52,12 @@
 // never be able to drive to_biedgelist or the algorithms out of bounds.
 // That pass is O(n + m) parallel integer compares (memory-bandwidth bound,
 // a tiny fraction of what re-parsing text would cost), so the mmap load is
-// "one streaming read" rather than strictly O(page faults).  The streamed
-// reader always verifies per-section checksums; the mmap loader verifies
-// them only when asked (`verify_checksums`), since hashing is much slower
-// than the structural compare pass.
+// "one streaming read" rather than strictly O(page faults).  Both readers
+// resolve sections through one path (snapshot_from_image): the mmap loader
+// over the mapping, the streamed reader over an owned image it stages from
+// the stream.  The streamed reader always verifies every section checksum;
+// the mmap loader does so only when asked (`verify_checksums`), since
+// hashing is much slower than the structural compare pass.
 #pragma once
 
 #include <algorithm>
@@ -334,10 +336,9 @@ inline parsed_header parse_header(const unsigned char* data, std::uint64_t avail
     }
     const std::uint32_t want = expected_elem_size(s.kind);
     // Known kinds may appear at most once: every consumer below resolves a
-    // kind to ONE section (require_section, the staging loops of the
-    // streamed reader), so a file listing a kind twice could have its two
-    // copies validated and adopted inconsistently.  Unknown kinds may
-    // repeat — they are dropped wholesale.
+    // kind to ONE section (require_section, h.find), so a file listing a
+    // kind twice could have its two copies validated and adopted
+    // inconsistently.  Unknown kinds may repeat — they are never resolved.
     if (want != 0) {
       if ((seen_kinds >> s.kind) & 1u) {
         throw io_error("NWHYCSR2 snapshot lists section kind " + std::to_string(s.kind) +
@@ -748,9 +749,9 @@ struct csr_snapshot {
   /// every query keeps answering in the caller's original id space.
   std::vector<nw::vertex_id_t> relabel_inv;
 
-  /// Owns the mmap'd file for zero-copy loads — or, for a streamed load of
-  /// a compressed snapshot, the staged compressed buffers the views point
-  /// into; null otherwise.
+  /// Owns the mmap'd file for zero-copy loads — or, for a stream-mode
+  /// streamed load of a compressed snapshot, the staged image the views
+  /// point into; null otherwise.
   std::shared_ptr<const void> storage;
 
   [[nodiscard]] bool canonical() const { return (flags & csr_flag_canonical) != 0; }
@@ -1195,19 +1196,26 @@ inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& ed
 namespace csr_detail {
 
 /// Assemble a csr_snapshot from a validated header plus a base pointer to
-/// the full file image (mmap'd or slurped).  Span-based: zero copies for
-/// raw sections; compressed target sections are either decoded now
-/// (`materialize`) or wrapped in block-decoding views (`stream`).
+/// the file image (mmap'd or staged from a stream) holding every listed
+/// section.  Span-based: zero copies for raw sections; compressed target
+/// sections are either decoded now (`materialize`) or wrapped in
+/// block-decoding views (`stream`).  `verify_checksums` hashes every listed
+/// section — unknown kinds and copies the resolution below does not adopt
+/// included — before any is resolved.
 inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned char* base,
                                         bool verify_checksums, const std::string& origin,
                                         std::shared_ptr<const void> storage,
                                         snapshot_decode mode = snapshot_decode::materialize) {
+  if (verify_checksums) {
+    for (const auto& s : h.sections) {
+      if (fnv1a64(base + s.offset, s.length) != s.checksum) {
+        throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
+                       origin, 0, s.offset);
+      }
+    }
+  }
   auto section_span = [&](const section_entry& s, auto tag) {
     using elem_t = decltype(tag);
-    if (verify_checksums && fnv1a64(base + s.offset, s.length) != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
-                     origin, 0, s.offset);
-    }
     return std::span<const elem_t>(reinterpret_cast<const elem_t*>(base + s.offset),
                                    s.length / sizeof(elem_t));
   };
@@ -1395,34 +1403,37 @@ inline csr_snapshot map_csr_snapshot(const std::string& path, bool verify_checks
 }
 #endif  // NWHY_HAS_MMAP
 
-/// Streamed reader (pipes, sockets, non-mmap platforms): reads the whole
-/// snapshot through the istream into owned vectors.  Always verifies every
-/// section checksum — a stream has no later chance to fault pages in.
+/// Streamed reader (pipes, sockets, non-mmap platforms): stages the
+/// snapshot, through the last listed section, into one owned 8-byte-aligned
+/// image and resolves it exactly as the mmap loader does, with every
+/// section checksum verified — a stream has no later chance to fault pages
+/// in.
 inline csr_snapshot read_csr_snapshot(std::istream& in, const std::string& origin = {},
                                       snapshot_decode mode = snapshot_decode::materialize) {
   namespace d = csr_detail;
   NWOBS_SCOPE_TIMER("io.snapshot_read");
-  unsigned char prefix[d::header_bytes];
-  in.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
+  auto image = std::make_shared<std::vector<std::uint64_t>>();
+  auto bytes = [&] { return reinterpret_cast<unsigned char*>(image->data()); };
+  image->resize(d::header_bytes / sizeof(std::uint64_t));
+  in.read(reinterpret_cast<char*>(bytes()), static_cast<std::streamsize>(d::header_bytes));
   if (!in.good()) {
     throw io_error("truncated NWHYCSR2 snapshot (no room for the 64-byte header)", origin, 0,
                    static_cast<std::size_t>(in.gcount()));
   }
   // Peek the section count to size the table read, then let parse_header do
   // all validation on the assembled prefix.
-  if (std::memcmp(prefix, csr_snapshot_magic, sizeof(csr_snapshot_magic)) != 0) {
+  if (std::memcmp(bytes(), csr_snapshot_magic, sizeof(csr_snapshot_magic)) != 0) {
     throw io_error("not an NWHYCSR2 snapshot (bad magic)", origin, 0, 0);
   }
-  const std::uint32_t count = d::get_u32(prefix + 40);
+  const std::uint32_t count = d::get_u32(bytes() + 40);
   if (count == 0 || count > d::max_section_count) {
     throw io_error("NWHYCSR2 section count " + std::to_string(count) + " out of range [1, " +
                        std::to_string(d::max_section_count) + "]",
                    origin, 0, 40);
   }
   const std::uint64_t table_end = d::header_bytes + std::uint64_t{count} * d::table_entry_bytes;
-  std::vector<unsigned char> head(table_end);
-  std::memcpy(head.data(), prefix, sizeof(prefix));
-  in.read(reinterpret_cast<char*>(head.data() + d::header_bytes),
+  image->resize(table_end / sizeof(std::uint64_t));
+  in.read(reinterpret_cast<char*>(bytes() + d::header_bytes),
           static_cast<std::streamsize>(table_end - d::header_bytes));
   if (!in.good()) {
     throw io_error("truncated NWHYCSR2 snapshot (section table cut short)", origin, 0,
@@ -1430,275 +1441,55 @@ inline csr_snapshot read_csr_snapshot(std::istream& in, const std::string& origi
   }
   // A stream cannot be sized up front; trust file_size for bounds checking
   // and let the payload reads catch actual truncation.
-  const std::uint64_t claimed = d::get_u64(head.data() + 48);
-  auto                h       = d::parse_header(head.data(), claimed, origin);
+  const std::uint64_t claimed = d::get_u64(bytes() + 48);
+  const auto          h       = d::parse_header(bytes(), claimed, origin);
 
-  // Payloads arrive in table order (parse_header enforced increasing
-  // offsets); skip alignment padding between them.
-  std::uint64_t pos = table_end;
-  auto skip_to = [&](const d::section_entry& s) {
-    NW_ASSERT(s.offset >= pos, "sections must be read in file order");
-    for (std::uint64_t skip = s.offset - pos; skip > 0;) {
-      char          sink[64];
-      std::uint64_t chunk = std::min<std::uint64_t>(skip, sizeof(sink));
-      in.read(sink, static_cast<std::streamsize>(chunk));
-      skip -= chunk;
+  // Stage the payloads *incrementally*: section lengths are only bounded by
+  // the header's own claimed file_size, which a stream cannot verify, so a
+  // crafted header could declare near-2^64 bytes.  Growing the image a
+  // bounded chunk at a time commits memory only for bytes the stream
+  // actually delivers — a lying length dies on honest truncation ("cut
+  // short") after one chunk, never on a giant up-front allocation.  Errors
+  // name the section the failing chunk belongs to.
+  const std::uint64_t end = h.sections.back().offset + h.sections.back().length;
+  auto section_at = [&](std::uint64_t pos) -> const d::section_entry& {
+    for (const auto& s : h.sections) {
+      if (pos < s.offset + s.length) return s;
     }
+    return h.sections.back();
   };
-  // Stage a known section into a typed owned vector *incrementally*: the
-  // header's section lengths are only bounded by its own claimed
-  // file_size, which a stream cannot verify, so a crafted header could
-  // declare near-2^64 bytes.  Growing the buffer a bounded chunk at a time
-  // means memory is only committed for bytes the stream actually delivers
-  // — a lying length dies on honest truncation ("cut short") after one
-  // chunk, never on a giant up-front allocation.  The checksum is chained
-  // across chunks.
-  auto read_section = [&](const d::section_entry& s, auto& vec) {
-    using elem_t = typename std::remove_reference_t<decltype(vec)>::value_type;
-    skip_to(s);
-    const std::uint64_t     total_elems = s.length / sizeof(elem_t);
-    constexpr std::uint64_t chunk_elems = (std::uint64_t{4} << 20) / sizeof(elem_t);  // 4 MiB
-    std::uint64_t           got         = 0;
-    std::uint64_t           sum         = d::fnv_basis;
-    while (got < total_elems) {
-      const std::uint64_t n = std::min(chunk_elems, total_elems - got);
-      try {
-        vec.resize(static_cast<std::size_t>(got + n));
-      } catch (const std::bad_alloc&) {
-        throw io_error("NWHYCSR2 section kind " + std::to_string(s.kind) + " declares " +
-                           std::to_string(s.length) + " bytes, too large to stage in memory",
-                       origin, 0, s.offset);
-      }
-      in.read(reinterpret_cast<char*>(vec.data() + got),
-              static_cast<std::streamsize>(n * sizeof(elem_t)));
-      if (!in.good()) {
-        throw io_error("truncated NWHYCSR2 snapshot (section kind " + std::to_string(s.kind) +
-                           " cut short)",
-                       origin, 0, s.offset);
-      }
-      sum = d::fnv1a64(vec.data() + got, static_cast<std::size_t>(n * sizeof(elem_t)), sum);
-      got += n;
-    }
-    if (sum != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
+  constexpr std::uint64_t chunk_bytes = std::uint64_t{4} << 20;  // 4 MiB
+  for (std::uint64_t got = table_end; got < end;) {
+    const std::uint64_t     n = std::min(chunk_bytes, end - got);
+    const d::section_entry& s = section_at(got);
+    try {
+      image->resize(static_cast<std::size_t>(d::align_up(got + n, sizeof(std::uint64_t)) /
+                                             sizeof(std::uint64_t)));
+    } catch (const std::bad_alloc&) {
+      throw io_error("NWHYCSR2 section kind " + std::to_string(s.kind) + " declares " +
+                         std::to_string(s.length) + " bytes, too large to stage in memory",
                      origin, 0, s.offset);
     }
-    pos = s.offset + s.length;
-  };
-  // Stream an unknown-kind section through a fixed sink without
-  // materializing it: its elem_size is untrusted (v1 only pins elem_size
-  // for known kinds), so no staging buffer may ever be sized from it.  The
-  // checksum is still chained and verified along the way.
-  auto skip_section = [&](const d::section_entry& s) {
-    skip_to(s);
-    std::uint64_t sum = d::fnv_basis;
-    for (std::uint64_t left = s.length; left > 0;) {
-      char          sink[4096];
-      std::uint64_t chunk = std::min<std::uint64_t>(left, sizeof(sink));
-      in.read(sink, static_cast<std::streamsize>(chunk));
-      if (!in.good()) {
-        throw io_error("truncated NWHYCSR2 snapshot (section kind " + std::to_string(s.kind) +
-                           " cut short)",
-                       origin, 0, s.offset);
-      }
-      sum = d::fnv1a64(sink, static_cast<std::size_t>(chunk), sum);
-      left -= chunk;
+    in.read(reinterpret_cast<char*>(bytes() + got), static_cast<std::streamsize>(n));
+    if (!in.good()) {
+      const auto& cut = section_at(got + static_cast<std::uint64_t>(in.gcount()));
+      throw io_error("truncated NWHYCSR2 snapshot (section kind " + std::to_string(cut.kind) +
+                         " cut short)",
+                     origin, 0, cut.offset);
     }
-    if (sum != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
-                     origin, 0, s.offset);
-    }
-    pos = s.offset + s.length;
-  };
-  // Read every listed section in file order.  Known kinds stage into typed
-  // owned vectors (their elem_size was pinned by parse_header, so length is
-  // a multiple of the element width); unknown kinds — tolerated for
-  // forward compatibility — are checksum-verified and dropped, and their
-  // untrusted elem_size never sizes a buffer.
-  std::vector<std::vector<nw::offset_t>>     idx_store(h.sections.size());
-  std::vector<std::vector<nw::vertex_id_t>>  tgt_store(h.sections.size());
-  std::vector<std::vector<unsigned char>>    byte_store(h.sections.size());
-  for (std::size_t i = 0; i < h.sections.size(); ++i) {
-    const auto& s = h.sections[i];
-    switch (d::expected_elem_size(s.kind)) {
-      case 8: read_section(s, idx_store[i]); break;
-      case 4: read_section(s, tgt_store[i]); break;
-      case 1: read_section(s, byte_store[i]); break;
-      default: skip_section(s); break;
-    }
+    got += n;
   }
-  auto take_csr = [&](std::uint32_t idx_kind, std::uint32_t tgt_kind, std::uint64_t n,
-                      std::uint64_t expect_targets, bool exact_targets,
-                      std::uint64_t target_bound, const char* what) {
-    (void)require_section(h, idx_kind, (n + 1) * sizeof(nw::offset_t), origin);
-    std::vector<nw::offset_t>    idx;
-    std::vector<nw::vertex_id_t> tgt;
-    bool                         have_tgt = false;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == idx_kind) idx = std::move(idx_store[i]);
-      if (h.sections[i].kind == tgt_kind) {
-        tgt      = std::move(tgt_store[i]);
-        have_tgt = true;
-      }
-    }
-    if (!have_tgt) {
-      throw io_error("NWHYCSR2 snapshot is missing required section kind " +
-                         std::to_string(tgt_kind),
-                     origin, 0, d::header_bytes);
-    }
-    if (exact_targets && tgt.size() != expect_targets) {
-      throw io_error("NWHYCSR2 section kind " + std::to_string(tgt_kind) + " has " +
-                         std::to_string(tgt.size() * sizeof(nw::vertex_id_t)) +
-                         " bytes, expected " +
-                         std::to_string(expect_targets * sizeof(nw::vertex_id_t)),
-                     origin, 0, d::header_bytes);
-    }
-    d::check_csr_structure(std::span<const nw::offset_t>(idx),
-                           std::span<const nw::vertex_id_t>(tgt), target_bound, what, origin);
-    return nw::graph::adjacency<>::from_csr_vectors(std::move(idx), std::move(tgt), n);
-  };
-
-  // Compressed sections were staged into owned byte/typed vectors above;
-  // bundle the ones a view needs into a shared holder so stream-mode views
-  // stay valid after this function returns (the holder doubles as
-  // snap.storage).
-  struct staged_compressed {
-    std::vector<nw::offset_t>    e2n_idx, n2e_idx, dict_idx;
-    std::vector<nw::vertex_id_t> refs;
-    std::vector<unsigned char>   e2n_payload, n2e_payload;
-  };
-  std::shared_ptr<staged_compressed> held;
-  auto take_staged_idx = [&](std::uint32_t kind) {
-    std::vector<nw::offset_t> v;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == kind) v = std::move(idx_store[i]);
-    }
-    return v;
-  };
-  auto take_compressed = [&](std::uint32_t idx_kind, std::uint32_t svb_kind, bool allow_dict,
-                             std::uint64_t n, std::uint64_t target_bound, const char* what) {
-    if (!held) held = std::make_shared<staged_compressed>();
-    (void)d::require_section(h, idx_kind, (n + 1) * sizeof(nw::offset_t), origin);
-    const auto* sc = h.find(svb_kind);
-    NW_ASSERT(sc != nullptr, "take_compressed called without the compressed section");
-    auto& idx_vec = idx_kind == csr_sec_e2n_indices ? held->e2n_idx : held->n2e_idx;
-    auto& pay_vec = idx_kind == csr_sec_e2n_indices ? held->e2n_payload : held->n2e_payload;
-    idx_vec = take_staged_idx(idx_kind);
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == svb_kind) pay_vec = std::move(byte_store[i]);
-    }
-    std::span<const nw::vertex_id_t> refs;
-    std::span<const nw::offset_t>    dict_idx;
-    const auto* sr = h.find(csr_sec_e2n_dict_refs);
-    const auto* sd = h.find(csr_sec_e2n_dict_indices);
-    if (allow_dict && (sr != nullptr || sd != nullptr)) {
-      if (sr == nullptr || sd == nullptr) {
-        throw io_error(
-            "NWHYCSR2 dictionary sections must come as a refs + indices pair (one is missing)",
-            origin, 0, d::header_bytes);
-      }
-      (void)d::require_section(h, csr_sec_e2n_dict_refs, n * sizeof(nw::vertex_id_t), origin);
-      for (std::size_t i = 0; i < h.sections.size(); ++i) {
-        if (h.sections[i].kind == csr_sec_e2n_dict_refs) held->refs = std::move(tgt_store[i]);
-      }
-      held->dict_idx = take_staged_idx(csr_sec_e2n_dict_indices);
-      refs           = std::span<const nw::vertex_id_t>(held->refs);
-      dict_idx       = std::span<const nw::offset_t>(held->dict_idx);
-    }
-    return d::make_compressed_view(std::span<const nw::offset_t>(idx_vec),
-                                   std::span<const unsigned char>(pay_vec), sc->offset, refs,
-                                   dict_idx, n, h.m, target_bound, what, origin, held);
-  };
-
-  csr_snapshot snap;
-  snap.version = h.version;
-  snap.flags   = h.flags;
-  snap.n0      = h.n0;
-  snap.n1      = h.n1;
-  snap.m       = h.m;
-  const auto* sdir = h.find(csr_sec_shard_dir);
-  const auto* spay = h.find(csr_sec_shard_payload);
-  if ((sdir == nullptr) != (spay == nullptr)) {
-    throw io_error(
-        "NWHYCSR2 shard sections must come as a directory + payload pair (one is missing)",
-        origin, 0, d::header_bytes);
-  }
-  const bool e2n_svb = h.find(csr_sec_e2n_targets_svb) != nullptr;
-  const bool n2e_svb = h.find(csr_sec_n2e_targets_svb) != nullptr;
-  const bool e2n_raw = h.find(csr_sec_e2n_targets) != nullptr || (!e2n_svb && sdir == nullptr);
-  const bool n2e_raw = h.find(csr_sec_n2e_targets) != nullptr || (!n2e_svb && sdir == nullptr);
-  if (e2n_raw &&
-      (h.find(csr_sec_e2n_dict_refs) != nullptr || h.find(csr_sec_e2n_dict_indices) != nullptr)) {
-    throw io_error("NWHYCSR2 dictionary sections are only valid with compressed E2N targets",
-                   origin, 0, d::header_bytes);
-  }
-  // Shard reassembly reads the staged stores through spans, so it must run
-  // before take_csr / take_compressed move any of them out.
-  std::vector<nw::vertex_id_t> shard_e2n, shard_n2e;
-  if (sdir != nullptr && ((!e2n_raw && !e2n_svb) || (!n2e_raw && !n2e_svb))) {
-    (void)d::require_section(h, csr_sec_e2n_indices, (h.n0 + 1) * sizeof(nw::offset_t), origin);
-    (void)d::require_section(h, csr_sec_n2e_indices, (h.n1 + 1) * sizeof(nw::offset_t), origin);
-    std::span<const nw::offset_t>  dwords, e2n_idx, n2e_idx;
-    std::span<const unsigned char> ppay;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == csr_sec_shard_dir) dwords = idx_store[i];
-      if (h.sections[i].kind == csr_sec_shard_payload) ppay = byte_store[i];
-      if (h.sections[i].kind == csr_sec_e2n_indices) e2n_idx = idx_store[i];
-      if (h.sections[i].kind == csr_sec_n2e_indices) n2e_idx = idx_store[i];
-    }
-    auto dir = d::parse_shard_directory(dwords, h.n0, h.n1, h.m, spay->length, origin);
-    d::reassemble_from_shards(dir, ppay, spay->offset, e2n_idx, n2e_idx, h.n0, h.n1, h.m,
-                              shard_e2n, shard_n2e, origin);
-  }
-  if (e2n_raw) {
-    snap.edges = biadjacency<0>::from_csr(
-        take_csr(csr_sec_e2n_indices, csr_sec_e2n_targets, h.n0, h.m, true, h.n1, "E2N"), h.n0,
-        h.n1);
-  } else if (e2n_svb) {
-    auto view =
-        take_compressed(csr_sec_e2n_indices, csr_sec_e2n_targets_svb, true, h.n0, h.n1, "E2N");
-    if (mode == snapshot_decode::materialize) {
-      snap.edges = biadjacency<0>::from_csr(view.materialize(), h.n0, h.n1);
-    } else {
-      snap.edges_view = std::move(view);
-    }
-  } else {
-    snap.edges = biadjacency<0>::from_csr(
-        nw::graph::adjacency<>::from_csr_vectors(take_staged_idx(csr_sec_e2n_indices),
-                                                 std::move(shard_e2n), h.n0),
-        h.n0, h.n1);
-  }
-  if (n2e_raw) {
-    snap.nodes = biadjacency<1>::from_csr(
-        take_csr(csr_sec_n2e_indices, csr_sec_n2e_targets, h.n1, h.m, true, h.n0, "N2E"), h.n1,
-        h.n0);
-  } else if (n2e_svb) {
-    auto view =
-        take_compressed(csr_sec_n2e_indices, csr_sec_n2e_targets_svb, false, h.n1, h.n0, "N2E");
-    if (mode == snapshot_decode::materialize) {
-      snap.nodes = biadjacency<1>::from_csr(view.materialize(), h.n1, h.n0);
-    } else {
-      snap.nodes_view = std::move(view);
-    }
-  } else {
-    snap.nodes = biadjacency<1>::from_csr(
-        nw::graph::adjacency<>::from_csr_vectors(take_staged_idx(csr_sec_n2e_indices),
-                                                 std::move(shard_n2e), h.n1),
-        h.n1, h.n0);
-  }
-  if (snap.streaming()) snap.storage = held;
-  if ((h.flags & csr_flag_has_adjoin) != 0) {
-    snap.adjoin = adjoin_graph{
-        take_csr(csr_sec_adjoin_indices, csr_sec_adjoin_targets, h.n0 + h.n1, 0, false,
-                 h.n0 + h.n1, "adjoin"),
-        static_cast<std::size_t>(h.n0), static_cast<std::size_t>(h.n1)};
-  }
-  if (h.find(csr_sec_relabel_inv) != nullptr) {
-    (void)d::require_section(h, csr_sec_relabel_inv, h.n0 * sizeof(nw::vertex_id_t), origin);
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == csr_sec_relabel_inv) snap.relabel_inv = std::move(tgt_store[i]);
-    }
-    d::validate_relabel_inv(snap.relabel_inv, h.n0, origin);
+  const unsigned char* base = bytes();
+  auto snap = d::snapshot_from_image(h, base, /*verify_checksums=*/true, origin, std::move(image),
+                                     mode);
+  // Raw CSRs resolve as views into the image; hand the caller owned copies
+  // (copying a view deep-copies it) and release the image, unless
+  // stream-mode views still decode from it.
+  if (!snap.streaming()) {
+    snap.edges = biadjacency<0>(snap.edges);
+    snap.nodes = biadjacency<1>(snap.nodes);
+    if (snap.adjoin) snap.adjoin->graph = nw::graph::adjacency<>(snap.adjoin->graph);
+    snap.storage.reset();
   }
   NWOBS_COUNT("io.snapshot_bytes_read", 0, h.file_size);
   return snap;

@@ -261,7 +261,7 @@ struct serve_graph {
   return comp;
 }
 
-/// Serial twin of NWHypergraph::composed_bfs on the generation CSRs:
+/// Serial HyperBFS on the generation CSRs, matching NWHypergraph::bfs:
 /// alternating bipartite levels, dist_edge[source] = 0, level incremented
 /// per half-step.  Summarized into the fixed-size bfs_reply (counts, max
 /// hyperedge depth, digests of both distance arrays).

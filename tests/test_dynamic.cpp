@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -159,6 +160,15 @@ std::vector<vertex_id_t> concat_labels(const std::vector<vertex_id_t>& edge,
   return all;
 }
 
+/// A weighted line-graph edge list as sorted (i, j, w) triples.
+std::vector<std::tuple<vertex_id_t, vertex_id_t, std::uint32_t>> sorted_triples(
+    const nw::graph::edge_list<std::uint32_t>& el) {
+  std::vector<std::tuple<vertex_id_t, vertex_id_t, std::uint32_t>> out;
+  for (std::size_t i = 0; i < el.size(); ++i) out.push_back(el[i]);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// A streambuf whose every write fails — the in-memory stand-in for ENOSPC.
 struct failing_streambuf : std::streambuf {
   int_type overflow(int_type) override { return traits_type::eof(); }
@@ -188,6 +198,13 @@ TEST(Dynamic, ComposedQueriesMatchRebuildAcrossThreads) {
         ASSERT_EQ(dyn.edge_sizes(), rebuilt.edge_sizes());
         ASSERT_EQ(dyn.node_degrees(), rebuilt.node_degrees());
         ASSERT_EQ(dyn.num_incidences(), rebuilt.num_incidences());
+        // A whole-graph read after every mutation: read -> mutate -> read
+        // proves each mutation drops the cached composed generation.
+        const auto da = dyn.dual();
+        const auto db = rebuilt.dual();
+        ASSERT_EQ(da.edge_list().edge_ids(), db.edge_list().edge_ids());
+        ASSERT_EQ(da.edge_list().node_ids(), db.edge_list().node_ids());
+        ASSERT_EQ(dyn.toplexes(), rebuilt.toplexes());
       }
       NWHypergraph rebuilt(truth.to_biedgelist());
       ASSERT_EQ(dyn.num_hyperedges(), rebuilt.num_hyperedges());
@@ -217,19 +234,32 @@ TEST(Dynamic, ComposedQueriesMatchRebuildAcrossThreads) {
       EXPECT_EQ(ca.labels_node, cb.labels_node);
 
       EXPECT_EQ(dyn.toplexes(), rebuilt.toplexes());
+      EXPECT_EQ(dyn.motifs(), rebuilt.motifs());
 
       for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
         SCOPED_TRACE("s=" + std::to_string(s));
         EXPECT_EQ(nwtest::csr_pairs(dyn.make_s_linegraph(s).graph()),
                   nwtest::csr_pairs(rebuilt.make_s_linegraph(s).graph()));
-        EXPECT_TRUE(same_partition(dyn.s_connected_components_implicit(s),
-                                   rebuilt.s_connected_components_implicit(s)));
+        EXPECT_EQ(dyn.s_connected_components_implicit(s),
+                  rebuilt.s_connected_components_implicit(s));
+        // s-distance on sampled pairs, out-of-range ids included.
+        nw::xoshiro256ss pick(seed + s);
+        for (int k = 0; k < 6; ++k) {
+          const auto a = static_cast<vertex_id_t>(pick.bounded(dyn.num_hyperedges() + 1));
+          const auto b = static_cast<vertex_id_t>(pick.bounded(dyn.num_hyperedges() + 1));
+          EXPECT_EQ(dyn.s_distance_implicit(s, a, b), rebuilt.s_distance_implicit(s, a, b))
+              << a << " -> " << b;
+        }
       }
 
       // Compaction folds the overlay into a new generation with the exact
-      // edge list a from-scratch build produces.
-      const std::uint64_t v_before = dyn.version();
+      // edge list a from-scratch build produces — here by adopting the
+      // composed generation the pending reads above cached.
+      const std::uint64_t v_before   = dyn.version();
+      const std::uint64_t gen_before = dyn.generation()->id;
+      const bool          pending    = dyn.has_pending_delta();
       dyn.compact();
+      EXPECT_EQ(dyn.generation()->id, gen_before + (pending ? 1 : 0));
       EXPECT_FALSE(dyn.has_pending_delta());
       EXPECT_EQ(dyn.version(), v_before) << "compact() must preserve content";
       auto want = rebuilt.edge_list();
@@ -273,6 +303,9 @@ TEST(Dynamic, AdjoinAndDerivedGraphsComposeTheOverlay) {
     auto wa = dyn.weighted_linegraph_edges();
     auto wb = rebuilt.weighted_linegraph_edges();
     EXPECT_EQ(wa.size(), wb.size());
+    EXPECT_EQ(sorted_triples(wa), sorted_triples(wb));
+    EXPECT_EQ(sorted_triples(dyn.weighted_linegraph_edges(2)),
+              sorted_triples(rebuilt.weighted_linegraph_edges(2)));
   }
 }
 
@@ -316,6 +349,8 @@ TEST(Dynamic, TombstoneOnlyGraphIsFullyEmpty) {
   for (std::size_t e = 0; e < cc.labels_edge.size(); ++e) {
     EXPECT_EQ(cc.labels_edge[e], static_cast<vertex_id_t>(e)) << "singleton components";
   }
+  // A source past the last hyperedge reaches nothing.
+  EXPECT_EQ(h.bfs(99).dist_edge, std::vector<vertex_id_t>(4, nw::null_vertex<>));
   h.compact();
   EXPECT_EQ(h.num_incidences(), 0u);
   EXPECT_EQ(h.num_hyperedges(), 4u) << "ids stay stable through tombstone compaction";

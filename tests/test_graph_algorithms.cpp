@@ -14,6 +14,7 @@
 #include "nwgraph/algorithms/pagerank.hpp"
 #include "nwgraph/algorithms/sssp.hpp"
 #include "nwgraph/algorithms/triangle_count.hpp"
+#include "prop_harness.hpp"
 #include "test_util.hpp"
 
 using namespace nw::graph;
@@ -195,6 +196,22 @@ TEST(Cc, GiantComponentPlusFringe) {
   EXPECT_TRUE(same_partition(labels, reference_components(g)));
   EXPECT_EQ(count_components(labels), 51u);
   EXPECT_EQ(largest_component_size(labels), 100u);
+}
+
+// The lock-free union-find under real contention.  A find that compressed
+// paths while other threads were still linking could write a stale root
+// over a pointer another thread had already lowered, forming a parent
+// 2-cycle that every later find spun on — so a regression here shows up
+// as a hang (bounded by the ctest TIMEOUT), not as a wrong partition.
+TEST(Cc, UnionFindEnginesSurviveFourThreadStress) {
+  nwtest::concurrency_guard guard;
+  nw::par::thread_pool::set_default_concurrency(4);
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    adjacency<> g(random_graph(2000, 2000, 0x5EED'0000 + seed));
+    const auto  want = reference_components(g);
+    ASSERT_TRUE(same_partition(cc_afforest(g), want)) << "afforest, seed " << seed;
+    ASSERT_TRUE(same_partition(cc_shiloach_vishkin(g), want)) << "SV, seed " << seed;
+  }
 }
 
 // --- SSSP ---------------------------------------------------------------------

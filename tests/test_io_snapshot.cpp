@@ -488,6 +488,12 @@ TEST(CsrSnapshot, ReadersTolerateUnknownSectionsWithoutTrustingElemSize) {
   corrupt[corrupt.size() - 1] ^= 0x01;  // last byte of the unknown payload
   std::istringstream cin(corrupt, std::ios::binary);
   EXPECT_THROW(read_csr_snapshot(cin), io_error);
+  // ...and by the mmap loader when verify_checksums asks for it, although
+  // no resolution step ever reads the section.
+  scratch_file cf("unknown_corrupt");
+  dump(cf.path, corrupt);
+  EXPECT_THROW(load_csr_snapshot(cf.path, /*verify_checksums=*/true), io_error);
+  EXPECT_EQ(load_csr_snapshot(cf.path).m, 1u) << "unverified loads never hash";
   // Sanity: the hand-assembled file without the extra section also loads.
   auto plain = build_tiny_snapshot(/*with_unknown_section=*/false);
   std::istringstream pin(plain, std::ios::binary);
