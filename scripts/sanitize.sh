@@ -5,9 +5,10 @@
 #   scripts/sanitize.sh asan [dir] # same, explicit
 #   scripts/sanitize.sh tsan [dir] # ThreadSanitizer: build with
 #                                  # -DNWHY_SANITIZE=thread, then run the
-#                                  # differential driver and the frontier /
-#                                  # nwpar suites directly (bounded seed
-#                                  # budget — TSan is ~10x slower)
+#                                  # differential suite, the frontier /
+#                                  # nwpar / nwobs / serve suites directly
+#                                  # (bounded seed budget — TSan is ~10x
+#                                  # slower)
 #   scripts/sanitize.sh ubsan [dir]# UBSan alone (-fno-sanitize-recover):
 #                                  # the decoder / crafted-input gate — runs
 #                                  # the I/O, snapshot, compressed-codec,
@@ -60,6 +61,9 @@ case "$MODE" in
     # generation swaps, all racing by design — the whole suite runs under
     # TSan (client threads included).
     "$BUILD"/tests/test_serve
+    # Thread-owned counter slots: pool workers, serve workers and plain
+    # std::threads counting at once.
+    "$BUILD"/tests/test_nwobs
     # The analytics engines: batched Brandes (CAS level claims + sigma/delta
     # pulls) and the per-wedge census with per-thread counters.
     "$BUILD"/tests/test_betweenness

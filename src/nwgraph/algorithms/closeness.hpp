@@ -13,6 +13,7 @@
 //  * eccentricity(v) = max distance to any reachable vertex.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "nwgraph/algorithms/bfs.hpp"
@@ -46,6 +47,39 @@ void bfs_distances_into(const Graph& g, vertex_id_t s, std::vector<vertex_id_t>&
 
 }  // namespace detail
 
+// Single-source folds of one BFS distance array (null_vertex = unreached).
+// Every closeness / harmonic / eccentricity spelling — the sweeps below,
+// s_linegraph's single-vertex overloads, the query server — uses these, so
+// all agree to the last bit.
+
+inline double closeness_from_distances(const std::vector<vertex_id_t>& dist) {
+  double      total     = 0.0;
+  std::size_t reachable = 0;
+  for (auto d : dist) {
+    if (d != null_vertex<> && d != 0) {
+      total += static_cast<double>(d);
+      ++reachable;
+    }
+  }
+  return total > 0 ? static_cast<double>(reachable) / total : 0.0;
+}
+
+inline double harmonic_from_distances(const std::vector<vertex_id_t>& dist) {
+  double total = 0.0;
+  for (auto d : dist) {
+    if (d != null_vertex<> && d != 0) total += 1.0 / static_cast<double>(d);
+  }
+  return total;
+}
+
+inline vertex_id_t eccentricity_from_distances(const std::vector<vertex_id_t>& dist) {
+  vertex_id_t ecc = 0;
+  for (auto d : dist) {
+    if (d != null_vertex<>) ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
 /// Closeness centrality of every vertex (component-local normalization).
 template <adjacency_list_graph Graph>
 std::vector<double> closeness_centrality(const Graph& g) {
@@ -58,15 +92,7 @@ std::vector<double> closeness_centrality(const Graph& g) {
   par::parallel_for(0, n, [&](unsigned tid, std::size_t s) {
     auto& w = scratch.local(tid);
     detail::bfs_distances_into(g, static_cast<vertex_id_t>(s), w.dist, w.queue);
-    double      total     = 0.0;
-    std::size_t reachable = 0;
-    for (auto d : w.dist) {
-      if (d != null_vertex<> && d != 0) {
-        total += static_cast<double>(d);
-        ++reachable;
-      }
-    }
-    result[s] = total > 0 ? static_cast<double>(reachable) / total : 0.0;
+    result[s] = closeness_from_distances(w.dist);
   });
   return result;
 }
@@ -83,11 +109,7 @@ std::vector<double> harmonic_closeness_centrality(const Graph& g) {
   par::parallel_for(0, n, [&](unsigned tid, std::size_t s) {
     auto& w = scratch.local(tid);
     detail::bfs_distances_into(g, static_cast<vertex_id_t>(s), w.dist, w.queue);
-    double total = 0.0;
-    for (auto d : w.dist) {
-      if (d != null_vertex<> && d != 0) total += 1.0 / static_cast<double>(d);
-    }
-    result[s] = total;
+    result[s] = harmonic_from_distances(w.dist);
   });
   return result;
 }
@@ -104,11 +126,7 @@ std::vector<vertex_id_t> eccentricity(const Graph& g) {
   par::parallel_for(0, n, [&](unsigned tid, std::size_t s) {
     auto& w = scratch.local(tid);
     detail::bfs_distances_into(g, static_cast<vertex_id_t>(s), w.dist, w.queue);
-    vertex_id_t ecc = 0;
-    for (auto d : w.dist) {
-      if (d != null_vertex<>) ecc = std::max(ecc, d);
-    }
-    result[s] = ecc;
+    result[s] = eccentricity_from_distances(w.dist);
   });
   return result;
 }

@@ -172,21 +172,12 @@ public:
     return nw::graph::closeness_centrality(graph_);
   }
   /// Single-vertex overload: one BFS from `v` (O(n + m)), not the
-  /// all-sources sweep (O(n·(n + m))) indexed at one element.  The
-  /// aggregation mirrors nw::graph::closeness_centrality exactly, so the
-  /// two spellings agree (asserted by tests/test_smetrics.cpp).
+  /// all-sources sweep (O(n·(n + m))) indexed at one element.  Both fold
+  /// through nw::graph::closeness_from_distances, so the two spellings
+  /// agree (asserted by tests/test_smetrics.cpp).
   [[nodiscard]] double s_closeness_centrality(vertex_id_t v) const {
     check_vertex(v, "s_closeness_centrality");
-    auto        dist      = nw::graph::bfs_distances(graph_, v);
-    double      total     = 0.0;
-    std::size_t reachable = 0;
-    for (auto d : dist) {
-      if (d != null_vertex<> && d != 0) {
-        total += static_cast<double>(d);
-        ++reachable;
-      }
-    }
-    return total > 0 ? static_cast<double>(reachable) / total : 0.0;
+    return nw::graph::closeness_from_distances(nw::graph::bfs_distances(graph_, v));
   }
 
   /// Listing 5 `s_harmonic_closeness_centrality(v)`.
@@ -196,12 +187,7 @@ public:
   /// Single-vertex overload: one BFS from `v` instead of n of them.
   [[nodiscard]] double s_harmonic_closeness_centrality(vertex_id_t v) const {
     check_vertex(v, "s_harmonic_closeness_centrality");
-    auto   dist  = nw::graph::bfs_distances(graph_, v);
-    double total = 0.0;
-    for (auto d : dist) {
-      if (d != null_vertex<> && d != 0) total += 1.0 / static_cast<double>(d);
-    }
-    return total;
+    return nw::graph::harmonic_from_distances(nw::graph::bfs_distances(graph_, v));
   }
 
   /// Listing 5 `s_eccentricity(v)`.
@@ -211,12 +197,7 @@ public:
   /// Single-vertex overload: one BFS from `v` instead of n of them.
   [[nodiscard]] vertex_id_t s_eccentricity(vertex_id_t v) const {
     check_vertex(v, "s_eccentricity");
-    auto        dist = nw::graph::bfs_distances(graph_, v);
-    vertex_id_t ecc  = 0;
-    for (auto d : dist) {
-      if (d != null_vertex<>) ecc = std::max(ecc, d);
-    }
-    return ecc;
+    return nw::graph::eccentricity_from_distances(nw::graph::bfs_distances(graph_, v));
   }
 
   /// s-diameter: the largest eccentricity among active entities (the

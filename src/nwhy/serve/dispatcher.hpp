@@ -14,8 +14,8 @@
 //   2. Deadline at dequeue.  Work whose deadline passed while queued is
 //      answered deadline_exceeded without executing — a request that waited
 //      too long is dead; running it anyway would only steal time from live
-//      ones.  Mid-execution, kernels poll the same token at frontier
-//      boundaries (see query.hpp).
+//      ones.  Mid-execution, the engines poll the same token through
+//      their cancel hook (see query.hpp).
 //   3. Coalescing.  Identical pure queries (same opcode + payload bytes +
 //      generation epoch) collapse: the first becomes the leader and
 //      executes; duplicates arriving while it runs become followers that
@@ -87,15 +87,14 @@ public:
                     : static_cast<std::size_t>(nw::util::env_u64_strict("NWHY_SERVE_QUEUE",
                                                                         1024, 1, 1u << 20));
 #if NWHY_OBS
-    // Resolve every per-opcode counter up front: worker threads then only
-    // touch their own padded slot (no lazy-init race, no registry lock on
-    // the request path).
+    // Resolve every per-opcode counter up front: no registry lock on the
+    // request path.
     for (std::size_t i = 0; i < k_num_op_counters; ++i) {
       counters_[i] = &nw::obs::registry::get().get_counter(k_op_counter_names[i]);
     }
 #endif
     for (unsigned t = 0; t < threads_; ++t) {
-      workers_.emplace_back([this, t] { worker_loop(t); });
+      workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
@@ -125,7 +124,7 @@ public:
       std::lock_guard lock(queue_mu_);
       if (stopping_ || queue_.size() >= capacity_) {
         rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-        NWOBS_COUNT("serve.rejected_busy", nw::obs::counter::slot_capacity, 1);
+        NWOBS_COUNT("serve.rejected_busy", 1);
         return false;
       }
       queue_.push_back(std::move(item));
@@ -248,7 +247,7 @@ private:
       "serve.req.centrality", "serve.req.sleep_debug", "serve.req.other",
   };
 
-  void count_request(unsigned tid, opcode op) {
+  void count_request(opcode op) {
     std::size_t idx;
     switch (op) {
       case opcode::ping: idx = 0; break;
@@ -262,14 +261,13 @@ private:
       default: idx = 8; break;
     }
 #if NWHY_OBS
-    counters_[idx]->add(tid, 1);
+    counters_[idx]->add(1);
 #else
-    (void)tid;
     (void)idx;
 #endif
   }
 
-  void worker_loop(unsigned tid) {
+  void worker_loop() {
     for (;;) {
       work_item item;
       {
@@ -286,16 +284,16 @@ private:
           continue;
         }
       }
-      count_request(tid, item.op);
+      count_request(item.op);
       if (item.deadline.expired()) {
         finish(item, error_reply(status::deadline_exceeded, "deadline passed in queue"));
         continue;
       }
-      run(tid, std::move(item));
+      run(std::move(item));
     }
   }
 
-  void run(unsigned tid, work_item item) {
+  void run(work_item item) {
     if (!coalescable(item.op)) {
       finish(item, execute(item));
       return;
@@ -329,7 +327,7 @@ private:
       finish(item, std::move(reply));
     } else {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
-      NWOBS_COUNT("serve.coalesced", tid, 1);
+      NWOBS_COUNT("serve.coalesced", 1);
       std::unique_lock lock(state->mu);
       if (auto when = item.deadline.when()) {
         if (!state->cv.wait_until(lock, *when, [&] { return state->finished; })) {
@@ -379,7 +377,7 @@ private:
   void finish(const work_item& item, reply_data reply) {
     if (reply.st == status::deadline_exceeded) {
       deadlines_.fetch_add(1, std::memory_order_relaxed);
-      NWOBS_COUNT("serve.deadline_exceeded", nw::obs::counter::slot_capacity, 1);
+      NWOBS_COUNT("serve.deadline_exceeded", 1);
     }
     const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - item.enqueued)

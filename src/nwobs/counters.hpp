@@ -4,16 +4,17 @@
 // families the paper benchmarks (HyperBFS/AdjoinBFS, s-line-graph
 // construction, toplexes).  Design goals, in order:
 //
-//   1. No atomics on the hot path.  A `counter` owns one cache-line-padded
-//      slot per worker id — the same padded-slot idiom as
-//      nw::par::per_thread — and workers bump their own slot with a plain
-//      add.  Slots are merged only on read.
-//   2. Survive thread-pool resizing.  The benchmark harness calls
-//      thread_pool::set_default_concurrency() mid-process, so unlike
-//      per_thread (sized from the pool at construction) a counter carries a
-//      fixed slot capacity; worker ids beyond it (never seen in practice —
-//      the sweep tops out at the machine's hardware concurrency) fall back
-//      to one relaxed atomic.
+//   1. No read-modify-write atomics on the hot path.  A `counter` owns one
+//      cache-line-padded slot per *thread*: each thread that counts is
+//      handed a slot index once, on its first add, and the index is
+//      released for reuse when the thread exits.  A thread bumps its own slot
+//      with a relaxed atomic load and store (a plain add on the targets we
+//      build for), so concurrent callers of one engine — serve workers,
+//      pool workers, client threads — never share a slot.  Slots are merged
+//      only on read.
+//   2. Never lose a count.  Slot indices are bounded; a thread that finds
+//      every slot taken (more live counting threads than slots) falls back
+//      to one relaxed-atomic overflow slot.
 //   3. Compile-time no-op.  Building with -DNWHY_OBS=0 turns every NWOBS_*
 //      macro into `((void)0)`: no registry lookups, no slot traffic, no
 //      static-init guards — the acceptance bar is < 2% timing delta against
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -40,40 +42,113 @@
 
 namespace nw::obs {
 
-/// Monotonic counter: per-worker padded slots, merged on read.
-/// `add(tid, n)` is wait-free and atomic-free for tid < slot_capacity.
+namespace detail {
+
+/// Slots per counter.  Slot index k_overflow_slot routes to the overflow
+/// atomic; k_unassigned_slot marks a thread that has not counted yet.
+inline constexpr unsigned k_counter_slots   = 128;
+inline constexpr unsigned k_overflow_slot   = k_counter_slots;
+inline constexpr unsigned k_unassigned_slot = k_counter_slots + 1;
+
+/// Hands counter slot indices to threads: one CAS on a bitset word per
+/// claim or release, whose acquire/release pair orders an exiting thread's
+/// last write to a slot before the next owner's first read.  Leaked on
+/// purpose: threads may still exit (and release) during static teardown.
+class slot_allocator {
+public:
+  static slot_allocator& get() {
+    static slot_allocator* instance = new slot_allocator;
+    return *instance;
+  }
+
+  /// A free slot index, or k_overflow_slot when every slot is taken.
+  unsigned acquire() noexcept {
+    for (unsigned w = 0; w < k_words; ++w) {
+      std::uint64_t used = used_[w].load(std::memory_order_relaxed);
+      while (~used != 0) {
+        const std::uint64_t bit = ~used & (used + 1);  // lowest clear bit
+        if (used_[w].compare_exchange_weak(used, used | bit, std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+          return w * 64 + static_cast<unsigned>(std::countr_zero(bit));
+        }
+      }
+    }
+    return k_overflow_slot;
+  }
+
+  void release(unsigned slot) noexcept {
+    if (slot >= k_counter_slots) return;
+    used_[slot / 64].fetch_and(~(std::uint64_t{1} << (slot % 64)), std::memory_order_release);
+  }
+
+  /// Slots currently owned (tests use it to see recycling).
+  [[nodiscard]] int in_use() const noexcept {
+    int n = 0;
+    for (const auto& w : used_) n += std::popcount(w.load(std::memory_order_relaxed));
+    return n;
+  }
+
+private:
+  static constexpr unsigned  k_words = k_counter_slots / 64;
+  std::atomic<std::uint64_t> used_[k_words] = {};
+};
+
+/// This thread's slot index: a trivially destructible thread_local, so a
+/// read is one TLS load with no init guard.
+inline unsigned& thread_slot() noexcept {
+  thread_local unsigned slot = k_unassigned_slot;
+  return slot;
+}
+
+/// Claims a slot on a thread's first add and releases it at thread exit;
+/// adds from later thread_local destructors then go to overflow.
+[[gnu::noinline]] inline unsigned claim_thread_slot() noexcept {
+  thread_local struct slot_owner {
+    unsigned slot = slot_allocator::get().acquire();
+    ~slot_owner() {
+      slot_allocator::get().release(slot);
+      thread_slot() = k_overflow_slot;
+    }
+  } owner;
+  return thread_slot() = owner.slot;
+}
+
+}  // namespace detail
+
+/// Monotonic counter: per-thread padded slots, merged on read.
+/// `add(n)` is wait-free and free of read-modify-write atomics.
 class counter {
 public:
-  static constexpr unsigned slot_capacity = 128;
-
-  void add(unsigned tid, std::uint64_t n = 1) noexcept {
-    if (tid < slot_capacity) {
-      slots_[tid].v += n;
+  void add(std::uint64_t n = 1) noexcept {
+    unsigned slot = detail::thread_slot();
+    if (slot == detail::k_unassigned_slot) [[unlikely]] slot = detail::claim_thread_slot();
+    if (slot < detail::k_counter_slots) {
+      auto& v = slots_[slot].v;
+      v.store(v.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
     } else {
       overflow_.fetch_add(n, std::memory_order_relaxed);
     }
   }
 
-  /// Merged value.  Intended for use outside parallel regions; concurrent
-  /// reads see a possibly-stale but tear-free per-slot snapshot on the
-  /// platforms we target (aligned 64-bit loads).
+  /// Merged value.  Concurrent adds may or may not be included.
   [[nodiscard]] std::uint64_t value() const noexcept {
     std::uint64_t total = overflow_.load(std::memory_order_relaxed);
-    for (const auto& s : slots_) total += s.v;
+    for (const auto& s : slots_) total += s.v.load(std::memory_order_relaxed);
     return total;
   }
 
-  /// Zero every slot.  Only call when no parallel region is running.
+  /// Zero every slot.  An add racing with reset may survive it; call when
+  /// nothing is counting.
   void reset() noexcept {
-    for (auto& s : slots_) s.v = 0;
+    for (auto& s : slots_) s.v.store(0, std::memory_order_relaxed);
     overflow_.store(0, std::memory_order_relaxed);
   }
 
 private:
   struct alignas(64) padded {
-    std::uint64_t v = 0;
+    std::atomic<std::uint64_t> v{0};
   };
-  padded                     slots_[slot_capacity];
+  padded                     slots_[detail::k_counter_slots];
   std::atomic<std::uint64_t> overflow_{0};
 };
 
@@ -192,14 +267,14 @@ private:
 // ---------------------------------------------------------------------------
 #if NWHY_OBS
 
-/// Add `n` to counter `name` from worker `tid`.  The registry lookup happens
-/// once per call site (function-local static); the increment itself is a
-/// plain add into a per-worker padded slot.
-#define NWOBS_COUNT(name, tid, n)                                                      \
+/// Add `n` to counter `name`.  The registry lookup happens once per call
+/// site (function-local static); the increment itself is a plain add into
+/// the calling thread's padded slot.
+#define NWOBS_COUNT(name, n)                                                           \
   do {                                                                                 \
     static ::nw::obs::counter& nwobs_counter_ =                                        \
         ::nw::obs::registry::get().get_counter(name);                                  \
-    nwobs_counter_.add((tid), static_cast<std::uint64_t>(n));                          \
+    nwobs_counter_.add(static_cast<std::uint64_t>(n));                                 \
   } while (0)
 
 /// Overwrite gauge `name` with `v` (coordinating-thread call sites only).
@@ -218,7 +293,7 @@ private:
 
 #else  // NWHY_OBS == 0: every instrumentation site compiles to nothing.
 
-#define NWOBS_COUNT(name, tid, n) ((void)0)
+#define NWOBS_COUNT(name, n) ((void)0)
 #define NWOBS_GAUGE_SET(name, v) ((void)0)
 #define NWOBS_GAUGE_MAX(name, v) ((void)0)
 

@@ -136,6 +136,15 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Body body, Com
   return acc;
 }
 
+/// The default cancellation hook of the traversal engines: never fires,
+/// and compiles to nothing.  A caller-supplied hook is a `void()` callable
+/// that stops the engine by throwing; the engines poll it at their level
+/// or frontier-vertex boundaries, and thread_pool::run carries the
+/// exception back to the caller at any pool width.
+struct no_cancel {
+  constexpr void operator()() const noexcept {}
+};
+
 /// Per-thread storage: one value per pool context, padded to a cache line to
 /// avoid false sharing between workers appending to their local buffers.
 template <class T>

@@ -9,11 +9,15 @@
 // idle threads pick up the chunks stragglers have not claimed yet.
 //
 // The pool is created once and reused; a fork-join dispatch costs two
-// condition-variable round trips, negligible next to the graph kernels.
+// condition-variable round trips: a no-op 64-item parallel_for takes about
+// 20 us at 4 contexts on a 4-CPU x86 box (0.05 us on a 1-context pool,
+// which runs inline), and one HyperBFS on a Friendster-shaped power-law
+// input (8k hyperedges, 40k hypernodes) makes 15-18 dispatches.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -54,7 +58,9 @@ public:
 
   /// Execute `job(worker_id)` once on each of the pool's `concurrency()`
   /// contexts; worker_id 0 is the calling thread.  Blocks until all
-  /// contexts return.  Not reentrant (algorithms never nest dispatches).
+  /// contexts return, even when some throw; then rethrows the first
+  /// exception on the caller, and the pool stays usable.  Not reentrant
+  /// (algorithms never nest dispatches).
   void run(const std::function<void(unsigned)>& job) {
     if (nthreads_ == 1) {
       job(0);
@@ -67,10 +73,20 @@ public:
       ++generation_;
     }
     cv_start_.notify_all();
-    job(0);
-    std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [this] { return n_active_ == 0; });
-    job_ = nullptr;
+    try {
+      job(0);
+    } catch (...) {
+      std::lock_guard lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+    }
+    std::exception_ptr error;
+    {
+      std::unique_lock lock(mutex_);
+      cv_done_.wait(lock, [this] { return n_active_ == 0; });
+      job_ = nullptr;
+      error.swap(error_);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
   /// Process-wide default pool.  Sized from NWHY_NUM_THREADS or the
@@ -94,9 +110,17 @@ private:
         if (stop_) return;
         job = job_;
       }
-      if (job) (*job)(id);
+      std::exception_ptr error;
+      if (job) {
+        try {
+          (*job)(id);
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
       {
         std::lock_guard lock(mutex_);
+        if (error && !error_) error_ = std::move(error);
         if (--n_active_ == 0) cv_done_.notify_one();
       }
     }
@@ -108,6 +132,7 @@ private:
   std::condition_variable              cv_start_;
   std::condition_variable              cv_done_;
   const std::function<void(unsigned)>* job_        = nullptr;
+  std::exception_ptr                   error_;  ///< first throw of the current run
   std::uint64_t                        generation_ = 0;
   unsigned                             n_active_   = 0;
   bool                                 stop_       = false;

@@ -15,9 +15,11 @@
 // check.sh --differential and scripts/sanitize.sh tsan use smaller budgets.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -307,6 +309,143 @@ TEST(Differential, SComponentsAndSDistanceMatchSerialOracle) {
   }
 }
 
+// --- engine callers with private pools ----------------------------------------------
+//
+// The query server runs each request's engine on its own 1-context pool,
+// from many threads at once; these pin that calling mode.
+
+namespace {
+
+std::uint64_t counter_value(const char* name) {
+  return nw::obs::registry::get().get_counter(name).value();
+}
+
+/// Active-subset partition equality of s-component labels (inactive
+/// hyperedges must be null on both sides).
+bool same_s_components(const std::vector<vertex_id_t>& got,
+                       const std::vector<vertex_id_t>& oracle) {
+  if (got.size() != oracle.size()) return false;
+  std::vector<vertex_id_t> g_act, o_act;
+  for (std::size_t e = 0; e < oracle.size(); ++e) {
+    if ((oracle[e] == nw::null_vertex<>) != (got[e] == nw::null_vertex<>)) return false;
+    if (oracle[e] != nw::null_vertex<>) {
+      g_act.push_back(got[e]);
+      o_act.push_back(oracle[e]);
+    }
+  }
+  return same_partition(g_act, o_act);
+}
+
+}  // namespace
+
+TEST(EngineCallers, ConcurrentPrivatePoolCallersMatchOraclesAndCountExactly) {
+  // Four threads, each running hyper_bfs, s_distance_implicit and
+  // s_connected_components_implicit on its own 1-context pool.  Answers
+  // must equal the serial oracles, and the HyperBFS counters must add up
+  // to exactly four times what one serial pass records: a lost update
+  // (two threads sharing a counter slot) shows as a short delta.
+  NWHypergraph hg(gen::uniform_random_hypergraph(300, 200, 4, 0xCA11E5));
+  const auto   inc = ref::from_biedgelist(hg.edge_list());
+  const auto&  E   = hg.hyperedges();
+  const auto&  N   = hg.hypernodes();
+  const auto&  deg = hg.edge_sizes();
+  const auto   srcs = sources_for(hg.num_hyperedges());
+
+  auto run_all = [&](std::string& why) {
+    nw::par::thread_pool pool(1);
+    for (vertex_id_t src : srcs) {
+      auto bfs    = hyper_bfs(E, N, src, 0, 0, pool);
+      auto oracle = ref::bfs_levels(inc, src);
+      if (bfs.dist_edge != oracle.dist_edge || bfs.dist_node != oracle.dist_node) {
+        why = "hyper_bfs src=" + std::to_string(src);
+      }
+    }
+    for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+      for (vertex_id_t a : srcs) {
+        for (vertex_id_t b : srcs) {
+          if (s_distance_implicit(E, N, deg, s, a, b, pool) != ref::s_distance(inc, s, a, b)) {
+            why = "s_distance_implicit s=" + std::to_string(s);
+          }
+        }
+      }
+      if (!same_s_components(s_connected_components_implicit(E, N, deg, s, pool),
+                             ref::s_components(inc, s))) {
+        why = "s_connected_components_implicit s=" + std::to_string(s);
+      }
+    }
+  };
+
+  // One serial pass: the per-pass counter deltas are deterministic on a
+  // 1-context pool.
+  const auto  levels0  = counter_value("hyper_bfs.levels");
+  const auto  relaxed0 = counter_value("hyper_bfs.edges_relaxed");
+  std::string serial_why;
+  run_all(serial_why);
+  EXPECT_EQ(serial_why, "");
+  const auto levels_per_pass  = counter_value("hyper_bfs.levels") - levels0;
+  const auto relaxed_per_pass = counter_value("hyper_bfs.edges_relaxed") - relaxed0;
+  ASSERT_GT(levels_per_pass, 0u);
+  ASSERT_GT(relaxed_per_pass, 0u);
+
+  constexpr int            k_callers = 4;
+  std::vector<std::string> why(k_callers);
+  const auto               levels1  = counter_value("hyper_bfs.levels");
+  const auto               relaxed1 = counter_value("hyper_bfs.edges_relaxed");
+  std::vector<std::thread> callers;
+  for (int t = 0; t < k_callers; ++t) callers.emplace_back([&, t] { run_all(why[t]); });
+  for (auto& t : callers) t.join();
+  for (int t = 0; t < k_callers; ++t) EXPECT_EQ(why[t], "") << "caller " << t;
+  EXPECT_EQ(counter_value("hyper_bfs.levels") - levels1, k_callers * levels_per_pass);
+  EXPECT_EQ(counter_value("hyper_bfs.edges_relaxed") - relaxed1,
+            k_callers * relaxed_per_pass);
+}
+
+TEST(EngineCallers, FiredCancelStopsEachEngineWithinOneLevel) {
+  // A cancel hook that has already fired throws at its first poll: every
+  // engine must stop inside the level it was polled from, at 1 and at 4
+  // contexts (each context polls at most once before its job unwinds).
+  struct cancelled {};
+  NWHypergraph hg(gen::uniform_random_hypergraph(2000, 500, 6, 0xCA4CE1));
+  const auto&  E   = hg.hyperedges();
+  const auto&  N   = hg.hypernodes();
+  const auto&  deg = hg.edge_sizes();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    nw::par::thread_pool pool(threads);
+    std::atomic<unsigned> polls{0};
+    auto                  fired = [&] {
+      polls.fetch_add(1);
+      throw cancelled{};
+    };
+
+    const auto levels0 = counter_value("hyper_bfs.levels");
+    EXPECT_THROW((void)hyper_bfs(E, N, 0, 0, 0, pool, fired), cancelled);
+    EXPECT_EQ(polls.load(), 1u) << "hyper_bfs polls once per half-step";
+    EXPECT_LE(counter_value("hyper_bfs.levels") - levels0, 1u);
+
+    polls = 0;
+    EXPECT_THROW((void)s_distance_implicit(E, N, deg, 1, 0, 1999, pool, fired), cancelled);
+    EXPECT_GE(polls.load(), 1u);
+    EXPECT_LE(polls.load(), threads) << "s_distance_implicit ran past its first level";
+
+    polls = 0;
+    EXPECT_THROW((void)s_bfs_distances_implicit(E, N, deg, 1, 0, pool, fired), cancelled);
+    EXPECT_GE(polls.load(), 1u);
+    EXPECT_LE(polls.load(), threads) << "s_bfs_distances_implicit ran past its first level";
+
+    polls = 0;
+    EXPECT_THROW((void)s_connected_components_implicit(E, N, deg, 1, pool, fired), cancelled);
+    EXPECT_GE(polls.load(), 1u);
+    EXPECT_LE(polls.load(), threads) << "s_connected_components_implicit ran past one level";
+
+    // A hook that never fires leaves the answers alone.
+    auto quiet = [] {};
+    EXPECT_EQ(hyper_bfs(E, N, 0, 0, 0, pool, quiet).dist_edge, hg.bfs(0).dist_edge);
+    EXPECT_EQ(s_connected_components_implicit(E, N, deg, 2, pool, quiet),
+              hg.s_connected_components_implicit(2));
+  }
+}
+
 // --- s-centrality family (bit-exact doubles) ----------------------------------------
 
 TEST(Differential, SCentralitiesBitExactAgainstSerialOracle) {
@@ -333,10 +472,17 @@ TEST(Differential, SCentralitiesBitExactAgainstSerialOracle) {
 
         // Single-vertex overloads answer from one BFS; they must agree with
         // the all-sources sweep indexed at that vertex.
+        // So must the implicit s-BFS the query server folds them from.
         for (vertex_id_t v : sources_for(lg.num_vertices())) {
           EXPECT_EQ(lg.s_closeness_centrality(v), close[v]) << "v=" << v;
           EXPECT_EQ(lg.s_harmonic_closeness_centrality(v), harm[v]) << "v=" << v;
           EXPECT_EQ(lg.s_eccentricity(v), ecc[v]) << "v=" << v;
+          auto dist = s_bfs_distances_implicit(hg.hyperedges(), hg.hypernodes(),
+                                               hg.edge_sizes(), s, v);
+          EXPECT_EQ(dist, ref::graph_bfs_levels(adj, v)) << "s_bfs_distances_implicit v=" << v;
+          EXPECT_EQ(nw::graph::closeness_from_distances(dist), close[v]) << "v=" << v;
+          EXPECT_EQ(nw::graph::harmonic_from_distances(dist), harm[v]) << "v=" << v;
+          EXPECT_EQ(nw::graph::eccentricity_from_distances(dist), ecc[v]) << "v=" << v;
         }
       }
     }

@@ -10,6 +10,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "nwhy.hpp"
 #include "test_util.hpp"
@@ -146,7 +148,7 @@ protected:
 TEST_F(NwobsTest, CounterMergesBlockedPartitioner) {
   auto&             c = registry::get().get_counter("test.blocked");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); },
                         nw::par::blocked{});
   EXPECT_EQ(c.value(), n);
 }
@@ -154,7 +156,7 @@ TEST_F(NwobsTest, CounterMergesBlockedPartitioner) {
 TEST_F(NwobsTest, CounterMergesStaticBlockedPartitioner) {
   auto&             c = registry::get().get_counter("test.static_blocked");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); },
                         nw::par::static_blocked{});
   EXPECT_EQ(c.value(), n);
 }
@@ -162,36 +164,67 @@ TEST_F(NwobsTest, CounterMergesStaticBlockedPartitioner) {
 TEST_F(NwobsTest, CounterMergesCyclicPartitioner) {
   auto&             c = registry::get().get_counter("test.cyclic");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); },
                         nw::par::cyclic{});
   EXPECT_EQ(c.value(), n);
 }
 
 TEST_F(NwobsTest, CounterWeightedAddsAndMacro) {
   auto& c = registry::get().get_counter("test.weighted");
-  c.add(0, 5);
-  c.add(1, 7);
+  c.add(5);
+  c.add(7);
   EXPECT_EQ(c.value(), 12u);
-  NWOBS_COUNT("test.weighted_macro", 0, 3);
-  NWOBS_COUNT("test.weighted_macro", 0, 4);
+  NWOBS_COUNT("test.weighted_macro", 3);
+  NWOBS_COUNT("test.weighted_macro", 4);
   EXPECT_EQ(registry::get().get_counter("test.weighted_macro").value(), 7u);
 }
 
 TEST_F(NwobsTest, CounterOverflowSlotIsStillCounted) {
-  // Worker ids beyond slot_capacity (possible only if a pool ever exceeded
-  // 128 threads) fall back to the relaxed-atomic overflow slot.
+  // A thread that finds every slot owned (more live counting threads than
+  // slots) falls back to the relaxed-atomic overflow slot.  Take the free
+  // slots from this thread instead of starting 128 threads.
   auto& c = registry::get().get_counter("test.overflow");
-  c.add(nw::obs::counter::slot_capacity + 5, 9);
-  c.add(0, 1);
+  c.add(1);  // this thread owns a slot before the allocator runs dry
+  auto&                 slots = nw::obs::detail::slot_allocator::get();
+  std::vector<unsigned> taken;
+  for (unsigned s; (s = slots.acquire()) != nw::obs::detail::k_overflow_slot;) taken.push_back(s);
+  std::thread([&] { c.add(9); }).join();
+  for (unsigned s : taken) slots.release(s);
   EXPECT_EQ(c.value(), 10u);
+}
+
+TEST_F(NwobsTest, ThreadSlotsAreRecycledWhenThreadsExit) {
+  // Many short-lived threads, one at a time: each claims a slot on its
+  // first add and hands it back on exit, so none of them overflows and the
+  // owned-slot count returns to where it started.
+  auto&          c      = registry::get().get_counter("test.recycled");
+  auto&          slots  = nw::obs::detail::slot_allocator::get();
+  const int      before = slots.in_use();
+  for (int i = 0; i < 300; ++i) std::thread([&] { c.add(1); }).join();
+  EXPECT_EQ(c.value(), 300u);
+  EXPECT_EQ(slots.in_use(), before);
+}
+
+TEST_F(NwobsTest, ConcurrentThreadsCountExactly) {
+  // Threads outside any pool (serve workers, client threads) each count
+  // into their own slot: the merged value is exact, with no lost update.
+  auto&                    c = registry::get().get_counter("test.concurrent");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 100000; ++i) NWOBS_COUNT("test.concurrent", 1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c.value(), 400000u);
 }
 
 TEST_F(NwobsTest, ResetZeroesInPlaceSoCachedReferencesStayValid) {
   auto& c = registry::get().get_counter("test.reset");
-  c.add(0, 41);
+  c.add(41);
   registry::get().reset();
   EXPECT_EQ(c.value(), 0u);
-  c.add(0, 1);  // the same reference keeps working after reset
+  c.add(1);  // the same reference keeps working after reset
   EXPECT_EQ(c.value(), 1u);
   EXPECT_EQ(registry::get().counters_snapshot().at("test.reset"), 1u);
 }
@@ -409,7 +442,7 @@ TEST_F(NwobsTest, ProfileJsonHasPinnedSchema) {
 }
 
 TEST_F(NwobsTest, WriteProfileRoundTripsThroughDisk) {
-  registry::get().get_counter("test.roundtrip").add(0, 42);
+  registry::get().get_counter("test.roundtrip").add(42);
   std::string path = ::testing::TempDir() + "nwobs_roundtrip.json";
   ASSERT_TRUE(nw::obs::write_profile(path));
   std::ifstream     f(path);

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "nwgraph/adjacency.hpp"
@@ -53,6 +57,46 @@ TEST(ThreadPool, ReusableAcrossDispatches) {
     pool.run([&](unsigned) { ++total; });
   }
   EXPECT_EQ(total.load(), 150);
+}
+
+TEST(ThreadPool, ThrowingJobIsRethrownAfterEveryContextReturns) {
+  // A throw on a worker, then on context 0 (the caller): run() waits for
+  // every other context to finish its job before rethrowing on the
+  // caller, and the pool keeps working afterwards.
+  thread_pool      pool(4);
+  std::atomic<int> finished{0};
+  auto             job_throwing_on = [&](unsigned thrower) {
+    return [&, thrower](unsigned tid) {
+      if (tid == thrower) throw std::runtime_error("context " + std::to_string(tid));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    };
+  };
+  for (unsigned thrower : {2u, 0u}) {
+    SCOPED_TRACE("thrower=" + std::to_string(thrower));
+    finished = 0;
+    try {
+      pool.run(job_throwing_on(thrower));
+      ADD_FAILURE() << "run() swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "context " + std::to_string(thrower));
+    }
+    EXPECT_EQ(finished.load(), 3) << "run() returned before the other contexts finished";
+  }
+  std::atomic<int> ran{0};
+  pool.run([&](unsigned) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+  // The same holds for a parallel_for body; the pool stays usable after.
+  EXPECT_THROW(parallel_for(
+                   0, 1000,
+                   [](std::size_t i) {
+                     if (i == 500) throw std::logic_error("body");
+                   },
+                   blocked{}, pool),
+               std::logic_error);
+  std::atomic<std::size_t> sum{0};
+  parallel_for(0, 1000, [&](std::size_t i) { sum.fetch_add(i); }, blocked{}, pool);
+  EXPECT_EQ(sum.load(), 999u * 1000u / 2u);
 }
 
 TEST(ThreadPool, DefaultConcurrencyResize) {
