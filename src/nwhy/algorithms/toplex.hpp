@@ -8,25 +8,76 @@
 // smaller id).  The tie-break keeps exactly one representative of each
 // family of duplicate hyperedges, matching the sequential algorithm's
 // output.  Each hyperedge is tested independently (embarrassingly
-// parallel), using hashmap overlap counting through the hypernode lists:
-// e ⊆ f  ⟺  |e ∩ f| == |e|.
+// parallel).  Every superset of e contains e's rarest member v (the member
+// of lowest hypernode degree), so the only candidates are the hyperedges
+// incident on v; each is checked with a sorted merge that stops at the
+// first member of e it lacks.
 #pragma once
 
+#include <limits>
 #include <vector>
 
-#include "nwhy/biadjacency.hpp"
+#include "nwgraph/concepts.hpp"
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
 
+/// Whether non-empty hyperedge `e` is dominated: some f != e has e ⊆ f and
+/// wins the size/id tie-break.  Generic over CSR-like structures exposing
+/// `degree(u)` and `operator[](u)` over sorted rows.  Each merge
+/// re-fetches e's row right before f's, so at most two rows of
+/// `hyperedges` are live at once — within `compressed_adjacency`'s
+/// row-cache lifetime contract.  Precondition: `e` is non-empty; empty
+/// hyperedges follow the caller's convention (see `toplexes`).
+template <class EGraph, class NGraph>
+bool is_dominated(const EGraph& hyperedges, const NGraph& hypernodes, vertex_id_t e) {
+  using nw::graph::target;
+  const std::size_t de = hyperedges.degree(e);
+
+  vertex_id_t rare     = null_vertex<>;
+  std::size_t rare_deg = std::numeric_limits<std::size_t>::max();
+  for (auto&& ev : hyperedges[e]) {
+    const std::size_t d = hypernodes.degree(target(ev));
+    if (d < rare_deg) {
+      rare     = target(ev);
+      rare_deg = d;
+    }
+  }
+
+  std::size_t checks = 0;  // candidates whose sorted merge actually ran
+  bool        dom    = false;
+  for (auto&& vf : hypernodes[rare]) {
+    const vertex_id_t f  = target(vf);
+    const std::size_t df = hyperedges.degree(f);
+    if (f == e || df < de || (df == de && f > e)) continue;  // loses the tie-break
+    ++checks;
+    auto re = hyperedges[e];
+    auto rf = hyperedges[f];
+    auto it = rf.begin();
+    dom     = true;
+    for (auto&& ev : re) {  // e ⊆ f on sorted rows
+      while (it != rf.end() && target(*it) < target(ev)) ++it;
+      if (it == rf.end() || target(*it) != target(ev)) {
+        dom = false;
+        break;
+      }
+      ++it;
+    }
+    if (dom) break;
+  }
+  NWOBS_COUNT("toplex.dominance_checks", checks);
+  // Candidates rejected by the tie-break, or left untested once a
+  // dominator was found (hypernodes[rare] includes e itself).
+  NWOBS_COUNT("toplex.dominance_checks_skipped", rare_deg - 1 - checks);
+  return dom;
+}
+
 /// Ids of all toplexes of the hypergraph, ascending.  Generic over the
 /// CSR-like structures (`biadjacency` pairs or block-decoding
-/// `compressed_adjacency` views — the kernel keeps at most one live row
-/// per structure, within the views' row-cache lifetime contract).
+/// `compressed_adjacency` views).
 template <class EGraph, class NGraph>
 std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypernodes) {
   NWOBS_SCOPE_TIMER("toplex");
@@ -46,38 +97,13 @@ std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypern
     }
   }
 
-  par::per_thread<counting_hashmap<>> maps;
-  par::parallel_for(0, ne, [&](unsigned tid, std::size_t i) {
-    vertex_id_t ei  = static_cast<vertex_id_t>(i);
-    std::size_t di  = hyperedges.degree(i);
-    if (di == 0) {
-      dominated[i] = (any_nonempty || ei != first_empty_id) ? 1 : 0;
-      return;
+  par::parallel_for(0, ne, [&](std::size_t i) {
+    const auto e = static_cast<vertex_id_t>(i);
+    if (hyperedges.degree(i) == 0) {
+      dominated[i] = (any_nonempty || e != first_empty_id) ? 1 : 0;
+    } else {
+      dominated[i] = is_dominated(hyperedges, hypernodes, e) ? 1 : 0;
     }
-    auto& overlap = maps.local(tid);
-    overlap.clear();
-    for (auto&& ev : hyperedges[i]) {
-      for (auto&& ve : hypernodes[target(ev)]) {
-        vertex_id_t ej = target(ve);
-        if (ej != ei) overlap.increment(ej);
-      }
-    }
-    bool        dom     = false;
-    std::size_t checks  = 0;  // candidates whose containment test actually ran
-    std::size_t skipped = 0;  // candidates skipped (dominator already found, or
-                              // pruned because |e_i ∩ e_j| < |e_i|)
-    overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-      if (dom || n < di) {  // |e_i ∩ e_j| == |e_i|  ⇒  e_i ⊆ e_j
-        ++skipped;
-        return;
-      }
-      ++checks;
-      std::size_t dj = hyperedges.degree(ej);
-      if (dj > di || (dj == di && ej < ei)) dom = true;
-    });
-    NWOBS_COUNT("toplex.dominance_checks", checks);
-    NWOBS_COUNT("toplex.dominance_checks_skipped", skipped);
-    dominated[i] = dom ? 1 : 0;
   });
 
   std::vector<vertex_id_t> result;
@@ -85,55 +111,6 @@ std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypern
     if (!dominated[i]) result.push_back(static_cast<vertex_id_t>(i));
   }
   return result;
-}
-
-/// Serial reference implementation following the paper's Algorithm 3
-/// shape (iterate hyperedges, maintain the candidate set Ě); used by the
-/// property tests as ground truth.
-template <class EGraph>
-std::vector<vertex_id_t> toplexes_serial(const EGraph& hyperedges) {
-  const std::size_t        ne = hyperedges.size();
-  std::vector<vertex_id_t> candidates;
-
-  auto subset_of = [&](vertex_id_t a, vertex_id_t b) {
-    // a ⊆ b on sorted incidence lists.
-    auto ra  = hyperedges[a];
-    auto rb  = hyperedges[b];
-    auto ita = ra.begin();
-    auto itb = rb.begin();
-    while (ita != ra.end() && itb != rb.end()) {
-      if (target(*ita) == target(*itb)) {
-        ++ita;
-        ++itb;
-      } else if (target(*ita) > target(*itb)) {
-        ++itb;
-      } else {
-        return false;
-      }
-    }
-    return ita == ra.end();
-  };
-
-  for (std::size_t i = 0; i < ne; ++i) {
-    vertex_id_t ei   = static_cast<vertex_id_t>(i);
-    bool        keep = true;
-    for (std::size_t k = 0; k < candidates.size();) {
-      vertex_id_t ej = candidates[k];
-      if (subset_of(ei, ej)) {  // e_i ⊆ e_j: e_i is not maximal
-        keep = false;
-        break;
-      }
-      if (subset_of(ej, ei)) {  // e_j ⊂ e_i: evict the stale candidate
-        candidates[k] = candidates.back();
-        candidates.pop_back();
-        continue;
-      }
-      ++k;
-    }
-    if (keep) candidates.push_back(ei);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
 }
 
 }  // namespace nw::hypergraph

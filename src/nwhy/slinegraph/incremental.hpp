@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "nwhy/algorithms/toplex.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
@@ -38,6 +39,15 @@ namespace nw::hypergraph {
 
 /// Per-entity sorted neighbor lists (member lists or their transpose).
 using incidence_lists = std::vector<std::vector<vertex_id_t>>;
+
+/// CSR-like read view (`size`, `degree`, `operator[]`) over incidence_lists,
+/// so the maintained lists can call the batch kernels' primitives.
+struct incidence_view {
+  const incidence_lists& lists;
+  [[nodiscard]] std::size_t size() const { return lists.size(); }
+  [[nodiscard]] std::size_t degree(std::size_t u) const { return lists[u].size(); }
+  [[nodiscard]] const std::vector<vertex_id_t>& operator[](std::size_t u) const { return lists[u]; }
+};
 
 /// An s-line graph maintained under hyperedge updates.  Owns its own copy
 /// of the composed incidence (so it stays coherent across compactions of
@@ -332,31 +342,16 @@ public:
   }
 
 private:
-  /// Non-empty edge i is dominated iff some j ≠ i has i ⊆ j and
-  /// (|j| > |i| ∨ (|j| == |i| ∧ j < i)) — the Algorithm 3 tie-break.
-  [[nodiscard]] bool compute_dominated(vertex_id_t i) const {
-    const std::size_t di = edge_members_[i].size();
-    if (di == 0) return false;  // empty edges are resolved at query time
-    overlap_.clear();
-    for (vertex_id_t v : edge_members_[i]) {
-      for (vertex_id_t j : node_edges_[v]) {
-        if (j != i) overlap_.increment(j);
-      }
-    }
-    bool dom = false;
-    overlap_.for_each([&](vertex_id_t j, std::uint32_t n) {
-      if (dom || n < di) return;
-      const std::size_t dj = edge_members_[j].size();
-      if (dj > di || (dj == di && j < i)) dom = true;
-    });
-    return dom;
+  /// The batch kernel's dominance test; empty edges are resolved at query time.
+  [[nodiscard]] bool compute_dominated(vertex_id_t e) const {
+    return !edge_members_[e].empty() &&
+           is_dominated(incidence_view{edge_members_}, incidence_view{node_edges_}, e);
   }
 
-  incidence_lists            edge_members_;
-  incidence_lists            node_edges_;
-  std::vector<char>          dominated_;
-  std::size_t                nonempty_count_ = 0;
-  mutable counting_hashmap<> overlap_;
+  incidence_lists   edge_members_;
+  incidence_lists   node_edges_;
+  std::vector<char> dominated_;
+  std::size_t       nonempty_count_ = 0;
 };
 
 }  // namespace nw::hypergraph

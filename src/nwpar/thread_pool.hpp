@@ -90,7 +90,8 @@ public:
   }
 
   /// Process-wide default pool.  Sized from NWHY_NUM_THREADS or the
-  /// hardware concurrency at first use; resizable by the benchmark harness.
+  /// hardware concurrency at first use (safe when several threads make
+  /// that first call at once); resizable by the benchmark harness.
   static thread_pool& default_pool();
 
   /// Resize the default pool (tears down and recreates workers).  Intended
@@ -158,7 +159,13 @@ inline unsigned initial_concurrency() {
 
 inline thread_pool& thread_pool::default_pool() {
   auto& slot = detail::default_pool_slot();
-  if (!slot) slot = std::make_unique<thread_pool>(detail::initial_concurrency());
+  // A function-local static's initialiser runs exactly once even when
+  // several threads make the first call at once; later calls pay one
+  // guard load and take no lock.
+  [[maybe_unused]] static const bool created = [&] {
+    if (!slot) slot = std::make_unique<thread_pool>(detail::initial_concurrency());
+    return true;
+  }();
   return *slot;
 }
 

@@ -17,6 +17,7 @@
 //             NWHY_TEST_ITERS replay knobs, see prop_harness.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #if defined(__unix__) || defined(__APPLE__)
@@ -31,6 +32,7 @@
 #include "nwhy/io/compress.hpp"
 #include "nwhy/io/csr_snapshot.hpp"
 #include "nwhy/nwhypergraph.hpp"
+#include "nwhy/ref/serial_toplex.hpp"
 #include "prop_harness.hpp"
 #include "test_util.hpp"
 
@@ -326,6 +328,37 @@ TEST(CompressedAdjacency, RowSpansSurviveThreeOtherRowMisses) {
             }());
 }
 
+TEST(CompressedAdjacency, ToplexMergeOutlivesTheRowCache) {
+  // Edge 0 = {0, 1, 2}; node 0 is its rarest member.  Edges 1-5 contain
+  // {0, 1} but not 2 and are larger, so each passes the tie-break and runs
+  // a merge that fails; edge 6 = {0, 1, 2, 3} is the true superset and comes
+  // last among node 0's edges.  More candidate merges than row-cache ways
+  // run before it, so a kernel holding edge 0's row across them would read
+  // an evicted span.
+  biedgelist<> el;
+  for (vertex_id_t v : {0, 1, 2}) el.push_back(0, v);
+  for (vertex_id_t f = 1; f <= 5; ++f) {
+    for (vertex_id_t v : {vertex_id_t{0}, vertex_id_t{1}, 10 + f, 20 + f}) el.push_back(f, v);
+  }
+  for (vertex_id_t v : {0, 1, 2, 3}) el.push_back(6, v);
+  for (vertex_id_t g = 7; g < 17; ++g) {  // raise nodes 1 and 2 above node 0's degree
+    for (vertex_id_t v : {vertex_id_t{1}, vertex_id_t{2}, 30 + g}) el.push_back(g, v);
+  }
+  el.sort_and_unique();
+  NWHypergraph hg(el);
+  ASSERT_GT(hg.node_degrees()[1], hg.node_degrees()[0]);
+  ASSERT_GT(hg.node_degrees()[2], hg.node_degrees()[0]);
+  static_assert(compressed_adjacency::row_cache_ways < 5);
+
+  auto       snap   = stream_views(hg);
+  const auto expect = ref::toplexes(ref::from_biedgelist(el));
+  const auto got    = toplexes(*snap.edges_view, *snap.nodes_view);
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(got, toplexes(hg.hyperedges(), hg.hypernodes()));
+  EXPECT_TRUE(std::find(got.begin(), got.end(), vertex_id_t{0}) == got.end());
+  EXPECT_TRUE(is_dominated(*snap.edges_view, *snap.nodes_view, 0));
+}
+
 TEST(CompressedAdjacency, MaterializeRebuildsTheExactCsr) {
   for (auto seed : nwtest::differential_seeds(0xAB'0000)) {
     NWHY_SEED_TRACE(seed);
@@ -473,7 +506,7 @@ TEST(CompressedDifferential, TraversalFamiliesMatchUncompressed) {
       EXPECT_EQ(cc_cmp.labels_node, cc_raw.labels_node);
 
       EXPECT_EQ(toplexes(Ec, Nc), toplexes(E, N));
-      EXPECT_EQ(toplexes_serial(Ec), toplexes_serial(E));
+      EXPECT_EQ(toplexes(Ec, Nc), ref::toplexes(ref::from_biedgelist(hg.edge_list())));
     }
   }
 }

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "nwpar/range_adaptors.hpp"
 #include "nwpar/thread_pool.hpp"
 #include "nwutil/rng.hpp"
+#include "test_util.hpp"
 
 using namespace nw::par;
 
@@ -104,6 +107,37 @@ TEST(ThreadPool, DefaultConcurrencyResize) {
   EXPECT_EQ(num_threads(), 2u);
   thread_pool::set_default_concurrency(4);
   EXPECT_EQ(num_threads(), 4u);
+}
+
+namespace {
+
+/// Two threads make the process's first default_pool() call at once; exits
+/// 0 iff both got the same pool and a parallel_for on it completes.
+[[noreturn]] void race_first_default_pool_calls() {
+  if (detail::default_pool_slot()) std::exit(3);  // not the first call
+  std::latch   start(2);
+  thread_pool* seen[2] = {nullptr, nullptr};
+  auto         first_call = [&](int k) {
+    start.arrive_and_wait();
+    seen[k] = &thread_pool::default_pool();
+  };
+  std::thread a(first_call, 0);
+  std::thread b(first_call, 1);
+  a.join();
+  b.join();
+  if (seen[0] != seen[1]) std::exit(1);
+  std::atomic<std::size_t> sum{0};
+  parallel_for(0, 1000, [&](std::size_t i) { sum.fetch_add(i); }, blocked{}, *seen[0]);
+  std::exit(sum.load() == 999u * 1000u / 2u ? 0 : 2);
+}
+
+}  // namespace
+
+TEST(ThreadPoolDeathTest, ConcurrentFirstDefaultPoolCallsShareOnePool) {
+  // The threadsafe style re-executes the binary for the child, so no other
+  // test in it has created the default pool yet.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(race_first_default_pool_calls(), ::testing::ExitedWithCode(0), "");
 }
 
 // --- parallel_for across strategies and pool sizes ------------------------
